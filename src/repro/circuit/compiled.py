@@ -613,8 +613,9 @@ class CompiledCircuit:
         is parity-identical on the primary-output interface and whose
         provenance maps every original slot.  One result is cached per
         resolved level, so every consumer of a shared compiled circuit
-        (oracle, encoder, miter) reuses the same optimization work —
-        and, for opt-enabled cache identity, the same content hash.
+        (encoder, miter, corruption sweep) reuses the same optimization
+        work — and, for opt-enabled cache identity, the same content
+        hash.
         """
         from repro.circuit.opt import optimize_compiled, resolve_opt
 

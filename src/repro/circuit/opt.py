@@ -14,8 +14,8 @@ redundancy once, structurally, before any consumer pays for it.
 The pass contract
 -----------------
 
-Each pass maps a :class:`~repro.circuit.compiled.CompiledCircuit` to a
-smaller, *parity-identical* one:
+Each pass maps a circuit's dense slot arrays (gate types, fanin slots,
+slot count) to smaller, *parity-identical* ones:
 
 * the primary-input list (names and order) is preserved exactly;
 * the primary-output list (names and order) is preserved exactly, and
@@ -52,7 +52,10 @@ Passes (applied in this order by the pipeline):
 
 The pipeline (:func:`optimize_compiled`) iterates the pass list to a
 fixpoint, which is also what makes it idempotent:
-``optimize(optimize(c))`` compiles to exactly ``optimize(c)``.
+``optimize(optimize(c))`` compiles to exactly ``optimize(c)``.  Passes
+hand each other renumbered slot arrays, never a ``Netlist``; one
+:class:`~repro.circuit.compiled.CompiledCircuit` is built per call, at
+the end, whatever the number of rounds.
 
 The ``opt`` lever
 -----------------
@@ -104,7 +107,6 @@ from repro.circuit.gates import GateType
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.circuit.compiled import CompiledCircuit
-    from repro.circuit.netlist import Netlist
 
 #: Concrete optimization levels, weakest to strongest.  ``"auto"`` is
 #: accepted everywhere the lever is and resolves through
@@ -228,12 +230,15 @@ def _identity(compiled: "CompiledCircuit", level: str) -> OptimizedCircuit:
 # ----------------------------------------------------------------------
 # Pass machinery
 #
-# A pass walks the gates in compiled (topological) order maintaining a
-# canonical value per original slot: ("slot", root) where root is an
-# original slot whose gate survives the pass, or ("const", b).  Gates
-# are either kept (possibly with a rewritten type/fanins), aliased to
-# an existing value, or folded to a constant.  Materialization turns
-# the kept list back into a Netlist with the original interface.
+# A pass walks the gates in topological order maintaining a canonical
+# value per original slot: ("slot", root) where root is an original
+# slot whose gate survives the pass, or ("const", b).  Gates are either
+# kept (possibly with a rewritten type/fanins), aliased to an existing
+# value, or folded to a constant.  The rules read only gate_types,
+# gate_output_slots, gate_fanin_slots and num_slots, so they run on a
+# CompiledCircuit or on a _SlotGraph alike.  _renumber turns the kept
+# list into the next _SlotGraph with the original interface; only the
+# last graph becomes a CompiledCircuit.
 # ----------------------------------------------------------------------
 
 _AND_FAMILY = (GateType.AND, GateType.NAND, GateType.OR, GateType.NOR)
@@ -435,7 +440,7 @@ def _strash_rules(compiled, canon, keep):
 
 
 def _coi_rules(compiled, canon, keep):
-    """Identity rewrite; pruning happens in materialization."""
+    """Identity rewrite; pruning happens in :func:`_renumber`."""
     for gtype, out, fanins in zip(
         compiled.gate_types, compiled.gate_output_slots, compiled.gate_fanin_slots
     ):
@@ -454,24 +459,95 @@ _PASS_RULES = {
 PASS_NAMES = ("sweep", "chains", "strash", "coi")
 
 
-def _materialize(
-    compiled: "CompiledCircuit",
+class _SlotGraph:
+    """The slot arrays passes read, plus the names that outlive a pass.
+
+    Gates are in topological order and gate *i* drives slot
+    ``len(inputs) + i``, exactly as in a compiled circuit, so a
+    :class:`~repro.circuit.compiled.CompiledCircuit` is itself a valid
+    first graph.
+    """
+
+    __slots__ = (
+        "name",
+        "inputs",
+        "outputs",
+        "output_slots",
+        "net_names",
+        "num_slots",
+        "gate_types",
+        "gate_output_slots",
+        "gate_fanin_slots",
+    )
+
+    def __init__(
+        self, source, net_names, gate_types, gate_fanin_slots, output_slots
+    ):
+        self.name = source.name
+        self.inputs = source.inputs
+        self.outputs = source.outputs
+        self.net_names = net_names
+        self.num_slots = len(net_names)
+        self.gate_types = gate_types
+        self.gate_output_slots = range(len(source.inputs), len(net_names))
+        self.gate_fanin_slots = gate_fanin_slots
+        self.output_slots = output_slots
+
+    @property
+    def num_gates(self) -> int:
+        return len(self.gate_types)
+
+    def same_gates(self, other) -> bool:
+        """Structural equality (the interface never changes)."""
+        return (
+            self.gate_types == other.gate_types
+            and self.gate_fanin_slots == other.gate_fanin_slots
+        )
+
+    def build(self) -> "CompiledCircuit":
+        """The one :class:`CompiledCircuit` of this graph.
+
+        The gates are inserted in topological order, and ``compile()``
+        keeps insertion order for such a netlist, so the compiled slots
+        are exactly this graph's slots.
+        """
+        from repro.circuit.netlist import Netlist
+
+        names = self.net_names
+        netlist = Netlist(name=self.name)
+        for net in self.inputs:
+            netlist.add_input(net)
+        for out, gtype, fanins in zip(
+            self.gate_output_slots, self.gate_types, self.gate_fanin_slots
+        ):
+            netlist.add_gate(names[out], gtype, [names[s] for s in fanins])
+        netlist.set_outputs(self.outputs)
+        return netlist.compile()
+
+
+def _renumber(
+    graph,
     canon: list[tuple],
     keep: list[tuple],
     prune: bool,
-) -> "Netlist":
-    """Rebuild a Netlist from the kept gates, preserving the interface."""
-    from repro.circuit.netlist import Netlist
+) -> tuple[_SlotGraph, list[tuple]]:
+    """Renumber the kept gates into a new graph, preserving the interface.
 
-    names = compiled.net_names
-    slot_of = compiled.slot_of
+    Slot order: inputs, then kept gates in keep order with each
+    ``_opt_const{b}`` net created just before its first reader, then
+    drivers (``BUF``/``CONST``) for primary outputs whose own gate
+    went away.  Returns the new graph and the pass's provenance as a
+    list indexed by old slot.
+    """
+    names = graph.net_names
+    output_slots = graph.output_slots
 
     if prune:
-        kept_by_out = {out: (gtype, vals) for out, gtype, vals in keep}
+        kept_by_out = {out: vals for out, _, vals in keep}
         needed: set[int] = set()
         stack = []
-        for po in compiled.outputs:
-            val = canon[slot_of[po]]
+        for po in output_slots:
+            val = canon[po]
             if val[0] == "slot":
                 stack.append(val[1])
         while stack:
@@ -479,86 +555,88 @@ def _materialize(
             if root in needed:
                 continue
             needed.add(root)
-            entry = kept_by_out.get(root)
-            if entry is None:
+            vals = kept_by_out.get(root)
+            if vals is None:
                 continue  # primary input
-            for kind, payload in entry[1]:
+            for kind, payload in vals:
                 if kind == "slot":
                     stack.append(payload)
         keep = [item for item in keep if item[0] in needed]
 
-    netlist = Netlist(name=compiled.name)
-    for net in compiled.inputs:
-        netlist.add_input(net)
+    num_inputs = len(graph.inputs)
+    new_of = [-1] * graph.num_slots  # old slot -> new slot
+    new_of[:num_inputs] = range(num_inputs)
+    new_names = list(names[:num_inputs])
+    types: list[GateType] = []
+    fanins: list[tuple[int, ...]] = []
+    const_slots: dict[int, int] = {}
+    used: set[str] = set()
 
-    used = set(compiled.inputs)
-    used.update(names[out] for out, _, _ in keep)
-    used.update(compiled.outputs)
-
-    const_nets: dict[int, str] = {}
-
-    def const_net(bit: int) -> str:
-        net = const_nets.get(bit)
-        if net is None:
+    def const_slot(bit: int) -> int:
+        slot = const_slots.get(bit)
+        if slot is None:
+            if not used:
+                used.update(graph.inputs)
+                used.update(names[out] for out, _, _ in keep)
+                used.update(graph.outputs)
             net = f"_opt_const{bit}"
             while net in used:
                 net += "_"
             used.add(net)
-            netlist.add_gate(
-                net, GateType.CONST1 if bit else GateType.CONST0, []
-            )
-            const_nets[bit] = net
-        return net
-
-    def val_net(val: tuple) -> str:
-        kind, payload = val
-        if kind == "const":
-            return const_net(payload)
-        return names[payload]
+            slot = len(new_names)
+            new_names.append(net)
+            types.append(GateType.CONST1 if bit else GateType.CONST0)
+            fanins.append(())
+            const_slots[bit] = slot
+        return slot
 
     for out, gtype, vals in keep:
-        netlist.add_gate(names[out], gtype, [val_net(v) for v in vals])
+        slots = tuple([
+            new_of[payload] if kind == "slot" else const_slot(payload)
+            for kind, payload in vals
+        ])
+        new_of[out] = len(new_names)
+        new_names.append(names[out])
+        types.append(gtype)
+        fanins.append(slots)
 
-    for po in compiled.outputs:
-        if netlist.is_driven(po):
-            continue
-        val = canon[slot_of[po]]
-        if val[0] == "const":
-            netlist.add_gate(
-                po, GateType.CONST1 if val[1] else GateType.CONST0, []
-            )
-        else:
-            netlist.add_gate(po, GateType.BUF, [names[val[1]]])
-    netlist.set_outputs(compiled.outputs)
-    return netlist
+    dropped = ("dropped",)
+    image = [
+        val if val[0] == "const"
+        else ("slot", new_of[val[1]]) if new_of[val[1]] >= 0
+        else dropped
+        for val in canon
+    ]
 
-
-def _run_pass(compiled: "CompiledCircuit", name: str) -> OptimizedCircuit:
-    """Apply one named pass; see :data:`PASS_NAMES`."""
-    rules = _PASS_RULES[name]
-    canon: list[tuple] = [("slot", s) for s in range(compiled.num_slots)]
-    keep: list[tuple] = []
-    rules(compiled, canon, keep)
-    netlist = _materialize(compiled, canon, keep, prune=(name == "coi"))
-    optimized = netlist.compile()
-    new_slot_of = optimized.slot_of
-    names = compiled.net_names
-    provenance: dict[int, tuple] = {}
-    for s in range(compiled.num_slots):
-        kind, payload = canon[s]
+    for po in output_slots:
+        if new_of[po] >= 0:
+            continue  # an input, a kept gate, or a driver added already
+        kind, payload = canon[po]
+        new_of[po] = len(new_names)
+        new_names.append(names[po])
         if kind == "const":
-            provenance[s] = ("const", payload)
-            continue
-        new = new_slot_of.get(names[payload])
-        provenance[s] = ("slot", new) if new is not None else ("dropped",)
-    return OptimizedCircuit(
-        source=compiled,
-        compiled=optimized,
-        provenance=provenance,
-        level=name,
-        passes=(name,),
-        stats={name: compiled.num_gates - optimized.num_gates},
+            types.append(GateType.CONST1 if payload else GateType.CONST0)
+            fanins.append(())
+        else:
+            types.append(GateType.BUF)
+            fanins.append((new_of[payload],))
+
+    new_graph = _SlotGraph(
+        graph,
+        tuple(new_names),
+        tuple(types),
+        tuple(fanins),
+        tuple(new_of[po] for po in output_slots),
     )
+    return new_graph, image
+
+
+def _apply(graph, name: str) -> tuple[_SlotGraph, list[tuple]]:
+    """One pass over the slot arrays: the new graph and its provenance."""
+    canon: list[tuple] = [("slot", s) for s in range(graph.num_slots)]
+    keep: list[tuple] = []
+    _PASS_RULES[name](graph, canon, keep)
+    return _renumber(graph, canon, keep, prune=(name == "coi"))
 
 
 def run_pass(compiled: "CompiledCircuit", name: str) -> OptimizedCircuit:
@@ -571,20 +649,15 @@ def run_pass(compiled: "CompiledCircuit", name: str) -> OptimizedCircuit:
         raise ValueError(
             f"unknown pass {name!r} (choose from {PASS_NAMES})"
         )
-    return _run_pass(compiled, name)
-
-
-def _compose(
-    first: dict[int, tuple], second: dict[int, tuple]
-) -> dict[int, tuple]:
-    """Provenance of pass B after pass A, as one original->final map."""
-    out: dict[int, tuple] = {}
-    for slot, val in first.items():
-        if val[0] == "slot":
-            out[slot] = second[val[1]]
-        else:
-            out[slot] = val
-    return out
+    graph, image = _apply(compiled, name)
+    return OptimizedCircuit(
+        source=compiled,
+        compiled=graph.build(),
+        provenance=dict(enumerate(image)),
+        level=name,
+        passes=(name,),
+        stats={name: compiled.num_gates - graph.num_gates},
+    )
 
 
 def optimize_compiled(
@@ -603,24 +676,26 @@ def optimize_compiled(
     if resolved == "off" or compiled.num_gates == 0:
         return _identity(compiled, resolved)
     pipeline = _PIPELINES[resolved]
-    current = compiled
-    provenance = {s: ("slot", s) for s in range(compiled.num_slots)}
+    graph = compiled
+    provenance: list[tuple] = [("slot", s) for s in range(compiled.num_slots)]
     applied: list[str] = []
     stats: dict[str, int] = {}
     for _ in range(_MAX_ROUNDS):
-        before = current
+        before = graph
         for name in pipeline:
-            step = _run_pass(current, name)
-            provenance = _compose(provenance, step.provenance)
+            step, image = _apply(graph, name)
+            provenance = [
+                image[val[1]] if val[0] == "slot" else val for val in provenance
+            ]
             applied.append(name)
-            stats[name] = stats.get(name, 0) + step.stats[name]
-            current = step.compiled
-        if current == before:
+            stats[name] = stats.get(name, 0) + graph.num_gates - step.num_gates
+            graph = step
+        if graph.same_gates(before):
             break
     return OptimizedCircuit(
         source=compiled,
-        compiled=current,
-        provenance=provenance,
+        compiled=graph.build(),
+        provenance=dict(enumerate(provenance)),
         level=resolved,
         passes=tuple(applied),
         stats=stats,

@@ -240,7 +240,7 @@ def _run_subtask(payload: tuple) -> SubTaskResult:
     conditional = generate_conditional_netlist(
         locked, assignment, run_synthesis=run_synthesis, effort=synthesis_effort
     )
-    oracle = Oracle(original, opt=opt)
+    oracle = Oracle(original)
     outcome = run_attack(
         attack,
         conditional.locked,

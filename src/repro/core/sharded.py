@@ -293,9 +293,7 @@ def _shard_chunk_task(params: dict) -> dict:
     """
     locked = _locked_from_params(params)
     opt = resolve_opt(params.get("opt", "off"))
-    oracle = Oracle(
-        parse_bench(params["oracle_bench"], name="oracle"), opt=opt
-    )
+    oracle = Oracle(parse_bench(params["oracle_bench"], name="oracle"))
     prime = params.get("prime_learnts")
     if prime and params.get("encoding_hash"):
         if _encoding_identity(locked, opt) != params["encoding_hash"]:
@@ -474,7 +472,7 @@ def sharded_multikey_attack(
     num_shards = len(assignments)
 
     fan_out = (parallel or runner is not None) and num_shards > 1
-    oracle = Oracle(oracle_netlist, opt=opt)
+    oracle = Oracle(oracle_netlist)
     engine = ShardEngine(
         locked, oracle, splitting_inputs, solver=solver, opt=opt
     )

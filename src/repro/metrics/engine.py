@@ -331,7 +331,7 @@ def build_sweep(
         )
     mask = (1 << width) - 1
 
-    oracle = Oracle(original, lanes=lanes, opt=opt)
+    oracle = Oracle(original, lanes=lanes)
     golden = oracle.query_vector(words, width)
     output_names = oracle.output_names
 

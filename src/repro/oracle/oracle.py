@@ -33,7 +33,6 @@ from collections.abc import Mapping, Sequence
 
 from repro.circuit.lanes import preferred_chunk_lanes, resolve_lanes
 from repro.circuit.netlist import Netlist
-from repro.circuit.opt import resolve_opt
 
 
 class Oracle:
@@ -41,24 +40,17 @@ class Oracle:
 
     ``lanes`` picks the evaluation backend for bit-parallel queries
     (``None`` -> the process default, normally ``"auto"``); results
-    are backend-independent by the lane-parity contract.  ``opt`` runs
-    the structural optimizer (:mod:`repro.circuit.opt`) on the
-    compiled circuit once at construction — fewer gates shrink both
-    the big-int sweep and the numpy stage matrices; responses are
-    identical by the optimizer's parity contract.
+    are backend-independent by the lane-parity contract.  Queries
+    evaluate the original circuit as compiled, never an optimized copy:
+    an attack's few hundred single-pattern queries, or the corruption
+    metrics' one bit-parallel sweep, cost less than a run of
+    :mod:`repro.circuit.opt` would, and that optimizer's parity
+    contract would make the responses identical anyway.
     """
 
-    def __init__(
-        self,
-        original: Netlist,
-        lanes: str | None = None,
-        opt: str | None = None,
-    ):
+    def __init__(self, original: Netlist, lanes: str | None = None):
         self._netlist = original
         self._compiled = original.compile()
-        level = resolve_opt(opt)
-        if level != "off":
-            self._compiled = self._compiled.optimized(level).compiled
         self._lanes = lanes
         self.query_count = 0
 

@@ -12,10 +12,13 @@ and every ``("const", b)`` image names a slot the original circuit
 held constant.
 """
 
+import inspect
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.circuit import opt as opt_mod
+from repro.circuit.compiled import CompiledCircuit
 from repro.circuit.gates import GateType
 from repro.circuit.lanes import numpy_available
 from repro.circuit.netlist import Netlist
@@ -32,6 +35,7 @@ from repro.circuit.random_circuits import random_netlist
 from repro.circuit.simulator import random_patterns
 from repro.locking.sarlock import sarlock_lock
 from repro.locking.xor_lock import xor_lock
+from repro.oracle.oracle import Oracle
 
 needs_numpy = pytest.mark.skipif(
     not numpy_available(), reason="numpy lane backend not installed"
@@ -318,3 +322,51 @@ class TestCaching:
         shuffled = compiled.tainted_slots(list(reversed(seeds * 2)))
         assert shuffled == first
         assert len(compiled._tainted_cache) == 1
+
+
+class TestOneCompilePerCall:
+    """Passes hand each other slot arrays; only the result is compiled."""
+
+    @staticmethod
+    def _count_compiles(monkeypatch) -> list[str]:
+        built: list[str] = []
+        init = CompiledCircuit.__init__
+
+        def counting_init(self, netlist):
+            built.append(netlist.name)
+            init(self, netlist)
+
+        monkeypatch.setattr(CompiledCircuit, "__init__", counting_init)
+        return built
+
+    @pytest.mark.parametrize("level", ["light", "full"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_pipeline_builds_one_circuit(self, monkeypatch, level, seed):
+        carrier = random_netlist(8, 60, seed=seed, allow_const=True)
+        compiled = sarlock_lock(carrier, key_size=4, seed=seed).netlist.compile()
+        built = self._count_compiles(monkeypatch)
+        result = optimize_compiled(compiled, level)
+        rounds = len(result.passes) // len(opt_mod._PIPELINES[level])
+        assert rounds >= 2  # the fixpoint loop really iterated
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("name", PASS_NAMES)
+    def test_run_pass_builds_one_circuit(self, monkeypatch, name):
+        compiled = _redundant_netlist().compile()
+        built = self._count_compiles(monkeypatch)
+        run_pass(compiled, name)
+        assert len(built) == 1
+
+    def test_oracle_never_optimizes(self, monkeypatch):
+        monkeypatch.setattr(opt_mod, "_default_opt", "full")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle must not optimize")
+
+        monkeypatch.setattr(opt_mod, "optimize_compiled", forbidden)
+        netlist = _redundant_netlist()
+        oracle = Oracle(netlist)
+        assert oracle.query_batch(list(range(8))) == (
+            netlist.compile().eval_batch(list(range(8)))
+        )
+        assert "opt" not in inspect.signature(Oracle).parameters
